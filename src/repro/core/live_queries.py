@@ -170,7 +170,7 @@ class _LiveState:
         if self.query.projection is not None:
             self.proj_accessors = [
                 (path, compile_path(path, self.geo_class))
-                for path in self.query.projection
+                for path in self.query.attribute_paths(self.geo_class)
             ]
         else:
             self.proj_accessors = None

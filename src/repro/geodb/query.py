@@ -806,6 +806,13 @@ class Query:
         self.limit = limit
         self.include_subclasses = include_subclasses
 
+    def attribute_paths(self, geo_class: GeoClass) -> list[str]:
+        """The projection's attribute paths. A bare ``oid`` names the
+        object id that every projected row carries already, unless the
+        class has an attribute of that name."""
+        return [path for path in self.projection
+                if path != "oid" or geo_class.has_attribute("oid")]
+
     def fingerprint(self) -> tuple:
         """A hashable identity for result caching.
 

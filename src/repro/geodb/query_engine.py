@@ -624,7 +624,8 @@ class QueryEngine:
         if query.projection is None:
             return None
         accessors = [
-            (path, compile_path(path, geo_class)) for path in query.projection
+            (path, compile_path(path, geo_class))
+            for path in query.attribute_paths(geo_class)
         ]
         rows = []
         for obj in matches:
@@ -764,7 +765,7 @@ class QueryEngine:
             if entry is None:
                 entry = (columns.oids,
                          [(path, columns.path_column(path, geo_class))
-                          for path in query.projection])
+                          for path in query.attribute_paths(geo_class)])
                 resolved[id(columns)] = entry
             oids, path_columns = entry
             row: dict[str, Any] = {"oid": oids[i]}
@@ -773,3 +774,4 @@ class QueryEngine:
                 row[path] = None if value is MISSING else value
             rows.append(row)
         return rows
+

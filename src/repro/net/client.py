@@ -154,13 +154,20 @@ class GISClient:
 
     def poll_pushes(self, timeout: float = 0.1) -> list[dict[str, Any]]:
         """Collect pushes for up to ``timeout`` seconds, then return all
-        buffered ones (also clears :attr:`pushes`)."""
+        buffered ones (also clears :attr:`pushes`).
+
+        Raises :class:`NetError` when the server has closed the
+        connection; pushes that arrived before the close stay on
+        :attr:`pushes` for :meth:`pop_pushes`.
+        """
         old = self._sock.gettimeout()
         self._sock.settimeout(timeout)
         try:
             while True:
-                frames = self._decoder.feed(self._sock.recv(65536))
-                for frame in frames:
+                data = self._sock.recv(65536)
+                if not data:
+                    raise NetError("server closed the connection")
+                for frame in self._decoder.feed(data):
                     if "push" in frame:
                         self.pushes.append(frame)
                     else:

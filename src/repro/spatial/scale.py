@@ -71,10 +71,13 @@ class Viewport:
 
         Row 0 is the *top* of the raster (screen convention).
         """
-        if not self.extent.contains_point(x, y):
+        extent = self.extent
+        min_x, min_y = extent.min_x, extent.min_y
+        max_x, max_y = extent.max_x, extent.max_y
+        if not (min_x <= x <= max_x and min_y <= y <= max_y):
             return None
-        fx = (x - self.extent.min_x) / self.extent.width
-        fy = (y - self.extent.min_y) / self.extent.height
+        fx = (x - min_x) / (max_x - min_x)
+        fy = (y - min_y) / (max_y - min_y)
         col = min(self.width - 1, int(fx * self.width))
         row = min(self.height - 1, int((1.0 - fy) * self.height))
         return (col, max(0, row))

@@ -107,8 +107,9 @@ def _node(widget: InterfaceObject) -> str:
                 f"{_esc(widget.label)}</button>")
     if isinstance(widget, ListWidget):
         label = widget.get_property("label", "")
+        selected = widget.selected_key
         items = "\n".join(
-            f"<li class='{'selected' if key == widget.selected_key else ''}'"
+            f"<li class='{'selected' if key == selected else ''}'"
             f" data-key='{_esc(key)}'>{_esc(text)}</li>"
             for key, text in widget.items
         )
@@ -142,19 +143,15 @@ def _node(widget: InterfaceObject) -> str:
 
 
 def _map_html(area: DrawingArea) -> str:
-    raster = area.rasterize()
-    rows = []
-    for row in range(area.height):
-        cells = []
-        for col in range(area.width):
-            symbol, oid = raster.get((col, row), (" ", None))
-            if oid is None:
-                cells.append(_esc(symbol))
-            else:
-                cells.append(
-                    f"<span data-oid='{_esc(oid)}'>{_esc(symbol)}</span>"
-                )
-        rows.append("".join(cells))
+    width, height = area.width, area.height
+    grid = [[" "] * width for __ in range(height)]
+    for (col, row), (symbol, oid) in area.rasterize().items():
+        if col < width and row < height:  # a wider custom viewport
+            grid[row][col] = (
+                _esc(symbol) if oid is None
+                else f"<span data-oid='{_esc(oid)}'>{_esc(symbol)}</span>"
+            )
+    rows = ["".join(cells) for cells in grid]
     extent = area.viewport.extent
     caption = (
         f"extent ({extent.min_x:.1f}, {extent.min_y:.1f}) .. "

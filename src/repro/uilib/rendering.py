@@ -99,10 +99,12 @@ class TextRenderer:
             label = widget.get_property("label", "")
             if label:
                 lines.append(pad + label + ":")
-            for key, item_label in widget.items:
-                marker = ">" if key == widget.selected_key else " "
+            items = widget.items
+            selected = widget.selected_key
+            for key, item_label in items:
+                marker = ">" if key == selected else " "
                 lines.append(pad + f" {marker} {item_label}")
-            if not widget.items:
+            if not items:
                 lines.append(pad + "  (empty)")
             return lines
         if isinstance(widget, Menu):
@@ -154,16 +156,14 @@ class TextRenderer:
         return f"{label}: {slider.minimum:g} [{bar}] {slider.maximum:g}  ({slider.value:g})"
 
     def _render_drawing(self, area: DrawingArea) -> list[str]:
-        raster = area.rasterize()
-        rows = []
-        border = "." + "-" * area.width + "."
-        rows.append(border)
-        for row in range(area.height):
-            cells = []
-            for col in range(area.width):
-                symbol, __ = raster.get((col, row), (" ", None))
-                cells.append(symbol)
-            rows.append("|" + "".join(cells) + "|")
+        width, height = area.width, area.height
+        grid = [[" "] * width for __ in range(height)]
+        for (col, row), (symbol, __) in area.rasterize().items():
+            if col < width and row < height:  # a wider custom viewport
+                grid[row][col] = symbol
+        border = "." + "-" * width + "."
+        rows = [border]
+        rows.extend("|" + "".join(cells) + "|" for cells in grid)
         rows.append(border)
         extent = area.viewport.extent
         rows.append(

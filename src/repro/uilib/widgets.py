@@ -18,10 +18,21 @@ themselves; rendering is a separate concern
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 from ..errors import WidgetError
-from ..spatial.geometry import BBox, Geometry
+from ..spatial.algorithms import densify_line
+from ..spatial.geometry import (
+    BBox,
+    Geometry,
+    LineString,
+    MultiLineString,
+    MultiPoint,
+    MultiPolygon,
+    Point,
+    Polygon,
+)
 from ..spatial.scale import Viewport
 from .base import InterfaceObject
 
@@ -109,6 +120,11 @@ class DrawingArea(InterfaceObject):
     The Class-set window's presentation area is a DrawingArea; picking an
     object in the map fires ``pick`` with its oid (§4 step 3: "The user
     finally selects an instance of the class in the graphical area").
+
+    The data extent grows with each :meth:`add_feature` and resets with
+    :meth:`clear_features`, so :meth:`data_extent` and the default
+    :attr:`viewport` are O(1) per call and :meth:`rasterize` is linear in
+    the number of raster points.
     """
 
     widget_type = "drawing_area"
@@ -124,6 +140,9 @@ class DrawingArea(InterfaceObject):
         self.height = int(height)
         #: list of (oid, Geometry, symbol-char)
         self._features: list[tuple[str, Geometry, str]] = []
+        #: [min_x, min_y, max_x, max_y] over the features' bboxes, kept as
+        #: ``BBox.union`` would fold them (inf/-inf while there are none)
+        self._extent = [math.inf, math.inf, -math.inf, -math.inf]
         self._viewport: Viewport | None = None
 
     def add_feature(self, oid: str, geometry: Geometry, symbol: str = "*") -> None:
@@ -132,19 +151,35 @@ class DrawingArea(InterfaceObject):
         if len(symbol) != 1:
             raise WidgetError("feature symbol must be a single character")
         self._features.append((oid, geometry, symbol))
+        if isinstance(geometry, Point):
+            min_x = max_x = geometry.x
+            min_y = max_y = geometry.y
+        else:
+            box = geometry.bbox()
+            min_x, min_y = box.min_x, box.min_y
+            max_x, max_y = box.max_x, box.max_y
+        extent = self._extent
+        if min_x < extent[0]:
+            extent[0] = min_x
+        if min_y < extent[1]:
+            extent[1] = min_y
+        if max_x > extent[2]:
+            extent[2] = max_x
+        if max_y > extent[3]:
+            extent[3] = max_y
 
     def clear_features(self) -> None:
         self._features.clear()
+        self._extent = [math.inf, math.inf, -math.inf, -math.inf]
 
     @property
     def features(self) -> list[tuple[str, Geometry, str]]:
         return list(self._features)
 
     def data_extent(self) -> BBox:
-        box = BBox.empty()
-        for __, geom, __sym in self._features:
-            box = box.union(geom.bbox())
-        return box
+        if not self._features:
+            return BBox.empty()
+        return BBox(*self._extent)
 
     @property
     def viewport(self) -> Viewport:
@@ -180,16 +215,22 @@ class DrawingArea(InterfaceObject):
         Later features overdraw earlier ones (painter's order).
         """
         viewport = self.viewport
+        to_cell = viewport.to_cell
+        cell_w, cell_h = viewport.cell_ground_size()
+        step = max(min(cell_w, cell_h) / 2.0, 1e-9)
         cells: dict[tuple[int, int], tuple[str, str]] = {}
-
-        def plot(x: float, y: float, symbol: str, oid: str) -> None:
-            cell = viewport.to_cell(x, y)
-            if cell is not None:
-                cells[cell] = (symbol, oid)
-
         for oid, geom, symbol in self._features:
-            for x, y in _raster_points(geom, viewport):
-                plot(x, y, symbol, oid)
+            # most features are Points (poles, suppliers); mapping them
+            # straight to their cell skips building a one-sample list
+            if isinstance(geom, Point):
+                cell = to_cell(geom.x, geom.y)
+                if cell is not None:
+                    cells[cell] = (symbol, oid)
+                continue
+            for x, y in _raster_points(geom, step):
+                cell = to_cell(x, y)
+                if cell is not None:
+                    cells[cell] = (symbol, oid)
         return cells
 
     def _describe_extra(self) -> dict[str, Any]:
@@ -200,30 +241,25 @@ class DrawingArea(InterfaceObject):
         }
 
 
-def _raster_points(geom: Geometry, viewport: Viewport):
-    """Sample a geometry densely enough that each crossed cell gets a hit."""
-    from ..spatial.algorithms import densify_line
-    from ..spatial.geometry import (
-        LineString,
-        MultiLineString,
-        MultiPoint,
-        MultiPolygon,
-        Point,
-        Polygon,
-    )
-
-    cell_w, cell_h = viewport.cell_ground_size()
-    step = max(min(cell_w, cell_h) / 2.0, 1e-9)
-    if isinstance(geom, Point):
-        yield (geom.x, geom.y)
-    elif isinstance(geom, LineString):
-        yield from densify_line(geom.coords, step)
-    elif isinstance(geom, Polygon):
+def _raster_points(geom: Geometry, step: float) -> list[tuple[float, float]]:
+    """Sample a non-Point geometry at most ``step`` apart, so that each
+    crossed cell gets a hit. :meth:`DrawingArea.rasterize` maps a Point
+    to its cell directly."""
+    if isinstance(geom, MultiPoint):
+        return [(point.x, point.y) for point in geom]
+    if isinstance(geom, LineString):
+        return densify_line(geom.coords, step)
+    if isinstance(geom, Polygon):
+        points = []
         for ring in geom.rings():
-            yield from densify_line(ring.closed_coords(), step)
-    elif isinstance(geom, (MultiPoint, MultiLineString, MultiPolygon)):
+            points.extend(densify_line(ring.closed_coords(), step))
+        return points
+    if isinstance(geom, (MultiLineString, MultiPolygon)):
+        points = []
         for member in geom:
-            yield from _raster_points(member, viewport)
+            points.extend(_raster_points(member, step))
+        return points
+    return []
 
 
 class ListWidget(InterfaceObject):
@@ -232,6 +268,10 @@ class ListWidget(InterfaceObject):
     Items are ``(key, label)`` pairs; selection fires ``select`` with the
     item key — the Schema window's class list uses this (§4 step 2: "The
     user next selects a class in that list").
+
+    A key→position index sits beside the items, so the duplicate check in
+    :meth:`add_item` and the lookup in :meth:`select` are O(1) per call;
+    :meth:`remove_item` re-indexes only the items after the removed one.
     """
 
     widget_type = "list"
@@ -242,25 +282,34 @@ class ListWidget(InterfaceObject):
                  items: Sequence[tuple[str, str]] = (), **props: Any):
         super().__init__(name, **props)
         self._items: list[tuple[str, str]] = []
+        #: key -> position in ``_items``
+        self._index: dict[str, int] = {}
         self._selected: int | None = None
         for key, label in items:
             self.add_item(key, label)
 
     def add_item(self, key: str, label: str | None = None) -> None:
-        if any(k == key for k, __ in self._items):
+        if key in self._index:
             raise WidgetError(f"list {self.name!r} already has item {key!r}")
+        self._index[key] = len(self._items)
         self._items.append((key, label if label is not None else key))
 
     def remove_item(self, key: str) -> None:
-        for i, (k, __) in enumerate(self._items):
-            if k == key:
-                if self._selected == i:
-                    self._selected = None
-                elif self._selected is not None and self._selected > i:
-                    self._selected -= 1
-                del self._items[i]
-                return
-        raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        i = self._position(key)
+        if self._selected == i:
+            self._selected = None
+        elif self._selected is not None and self._selected > i:
+            self._selected -= 1
+        del self._index[key]
+        del self._items[i]
+        for j in range(i, len(self._items)):
+            self._index[self._items[j][0]] = j
+
+    def _position(self, key: str) -> int:
+        i = self._index.get(key)
+        if i is None:
+            raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        return i
 
     @property
     def items(self) -> list[tuple[str, str]]:
@@ -274,11 +323,9 @@ class ListWidget(InterfaceObject):
 
     def select(self, key: str) -> list[Any]:
         """Select by key and fire ``select``; returns callback results."""
-        for i, (k, __) in enumerate(self._items):
-            if k == key:
-                self._selected = i
-                return self.fire("select", key=key, index=i)
-        raise WidgetError(f"list {self.name!r} has no item {key!r}")
+        i = self._position(key)
+        self._selected = i
+        return self.fire("select", key=key, index=i)
 
     def _describe_extra(self) -> dict[str, Any]:
         return {

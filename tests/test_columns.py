@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.core import GISKernel
 from repro.geodb import ColumnCache, QueryEngine
 from repro.geodb.query_language import parse_query, run_query
 from repro.spatial import BBox, Point
@@ -342,3 +343,51 @@ class TestRunQueryIntegration:
     def test_run_query_goes_columnar_by_default(self, db):
         result = run_query(db, SCHEMA, QUERIES[0])
         assert result.report["plans"][0]["columns"] is True
+
+
+class TestOidProjection:
+    """``select oid`` yields each object's oid on every execution path."""
+
+    TEXTS = [
+        "select oid, status from Pole",
+        "select status, oid from Pole where status = 'ok'",
+        "select oid from Pole order by desc install_year limit 4",
+        "select oid, duct_depth from NetworkElement including subclasses",
+    ]
+
+    @pytest.mark.parametrize("use_columns", [True, False])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_engine_paths(self, db, text, use_columns):
+        result = QueryEngine(db, use_columns=use_columns).execute(
+            SCHEMA, parse_query(text))
+        assert result.rows
+        assert [row["oid"] for row in result.rows] == result.oids()
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_through_the_result_cache(self, db, text):
+        with GISKernel(db) as kernel:
+            session = kernel.session(user="analyst")
+            miss = session.query(SCHEMA, text)
+            hit = session.query(SCHEMA, text)
+            bypass = session.query(SCHEMA, text, use_cache=False)
+        assert "cache: hit" in hit.explain()
+        for result in (miss, hit, bypass):
+            assert [row["oid"] for row in result.rows] == result.oids()
+            assert None not in result.oids()
+
+    def test_delta_maintained_rows(self, db):
+        """Rows a watched query patches after a commit carry real oids and
+        agree with a fresh execution."""
+        text = "select oid, status from Pole order by oid"
+        with GISKernel(db) as kernel:
+            session = kernel.session(user="editor")
+            watch = session.watch(SCHEMA, text)
+            oid = watch.result().oids()[0]
+            with kernel.transaction(session) as txn:
+                txn.update(oid, {"status": "repair"})
+            assert watch.pop_updates()
+            cached = session.query(SCHEMA, text)
+            fresh = session.query(SCHEMA, text, use_cache=False)
+        for result in (watch.result(), cached):
+            assert result.rows == fresh.rows
+            assert [row["oid"] for row in result.rows] == result.oids()

@@ -243,6 +243,7 @@ WATCHED = [
     "select * from Feature where size >= 25",
     "select name, size from Feature where size >= 10 and size <= 40",
     "select name, size from Feature order by size",
+    "select oid, size from Feature order by size",
     "select name, size from Feature order by desc size limit 7",
     "select count(*), sum(size), min(size) from Feature where size >= 15",
     ("select count(*), sum(size) from Feature where "

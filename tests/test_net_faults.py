@@ -20,6 +20,7 @@ import zlib
 import pytest
 
 from repro.core.kernel import GISKernel
+from repro.errors import NetError
 from repro.net import GISClient, ServerThread, encode_frame
 from repro.net.protocol import HEADER, MAX_FRAME
 from repro.workloads import PhoneNetParams, build_phone_net_database
@@ -340,3 +341,43 @@ class TestManyClients:
         assert not any(t.is_alive() for t in threads), "hung client threads"
         assert errors == [], f"{len(errors)} failed: {errors[:3]}"
         assert_healthy(served)
+
+
+class TestServerHangup:
+    def test_poll_pushes_raises_when_the_server_closes(self):
+        """A peer that sends one push and hangs up: ``poll_pushes`` must
+        report the close instead of spinning on empty reads, and keep
+        the push that arrived first."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()
+        push = {"push": "mutation", "class": "Pole"}
+
+        def hang_up():
+            conn, __ = listener.accept()
+            conn.sendall(encode_frame(push))
+            conn.close()
+
+        server = threading.Thread(target=hang_up, daemon=True)
+        server.start()
+        client = GISClient(host, port, timeout=5)
+        outcome = []
+
+        def poll():
+            try:
+                outcome.append(client.poll_pushes(timeout=2.0))
+            except Exception as exc:
+                outcome.append(exc)
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        poller.join(timeout=5)
+        try:
+            assert not poller.is_alive(), "poll_pushes spins after EOF"
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], NetError)
+            assert "closed" in str(outcome[0])
+            assert client.pop_pushes() == [push]
+        finally:
+            client.close()
+            listener.close()
+            server.join(timeout=5)
