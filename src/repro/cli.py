@@ -378,6 +378,7 @@ class CommandLoop:
                   f"  rows: {summary['rows']}"
                   f"  columns: {summary['columns']}")
         self.emit(f"  builds: {summary['builds']}"
+                  f"  patches: {summary['patches']}"
                   f"  hits: {summary['hits']}"
                   f"  invalidations: {summary['invalidations']}"
                   f"  hit ratio: {'n/a' if ratio is None else ratio}")

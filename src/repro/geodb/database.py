@@ -147,8 +147,8 @@ class GeographicDatabase:
         #: lazily created planner statistics (repro.geodb.planner)
         self._statistics = None
         #: lazily created columnar scan cache (repro.geodb.columns);
-        #: entries self-invalidate on class-version bumps, but snapshot
-        #: installs must clear it explicitly (same versions, new objects)
+        #: entries refresh on class-version bumps, but snapshot installs
+        #: must clear it explicitly (same versions, new objects)
         self._column_cache = None
         #: (schema, class) -> {"attr": ..., "grid": (gx, gy)} — classes
         #: whose extents are spatially partitioned for scatter-gather
@@ -486,7 +486,30 @@ class GeographicDatabase:
                 session_id=session_id,
             )
         )
-        return geo_class, list(self.extent(schema_name, class_name))
+        return geo_class, self._extent_members(schema_name, class_name)
+
+    def _extent_members(self, schema_name: str,
+                        class_name: str) -> list[GeoObject]:
+        """The class's members as of one whole commit.
+
+        The copy is bracketed by the mutation seqlock like the column
+        cache's builds: a copy taken while a commit is applying, or one
+        a commit overlapped, is retried. After a few rounds the copy is
+        taken under the commit lock, which every apply phase holds.
+        """
+        extent = self.extent(schema_name, class_name)
+        for __ in range(4):
+            seq = self._mutation_seq
+            if seq & 1:
+                continue
+            try:
+                members = list(extent)
+            except RuntimeError:        # resized by a concurrent commit
+                continue
+            if self._mutation_seq == seq:
+                return members
+        with self._commit_lock:
+            return list(extent)
 
     def get_value(self, oid: str, context: Any = None,
                   session_id: str | None = None) -> GeoObject:
@@ -1128,7 +1151,6 @@ class GeographicDatabase:
                 self._mvcc._chains.clear()
                 self._commit_log.clear()
                 self._statistics = None
-                self._column_cache = None
                 self._shard_maps.clear()
                 self.heap = HeapFile(self.pager)
                 self.heap.attach_buffer(self.buffer)
@@ -1454,6 +1476,11 @@ class GeographicDatabase:
                     # restored extent state, so reads agree either way.
                     while undo:
                         undo.pop()()
+                    # A rolled-back delete re-adds its object at the end
+                    # of the extent, so no cached column set matches the
+                    # extent order any more, and no write set says so.
+                    if self._column_cache is not None:
+                        self._column_cache.invalidate()
                     if wal is not None:
                         wal.log_abort(txn.txn_id)
                     raise

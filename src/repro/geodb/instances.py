@@ -182,6 +182,11 @@ class Extent:
         get = self._objects.get
         return [obj for obj in map(get, oids) if obj is not None]
 
+    def newest(self, count: int) -> list[GeoObject]:
+        """The ``count`` most recently added members, oldest first."""
+        return list(itertools.islice(reversed(self._objects.values()),
+                                     count))[::-1]
+
     def __len__(self) -> int:
         return len(self._objects)
 

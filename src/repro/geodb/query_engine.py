@@ -691,8 +691,8 @@ class QueryEngine:
         for part, (columns, selected) in enumerate(parts):
             column = columns.path_column(path, geo_class)
             oids = columns.oids
-            if len(selected) == columns.cardinality and not any(
-                    v is None or v is MISSING for v in column):
+            if len(selected) == columns.cardinality \
+                    and columns.null_free(path, geo_class):
                 # Unfiltered scan, no null keys: decorate at C speed.
                 keyed.extend(zip(repeat(False), column, oids,
                                  repeat(part), range(len(column))))

@@ -139,13 +139,12 @@ class GISServer:
             self._server = None
         for conn in list(self._connections):
             await self._close_connection(conn)
-        # Serve tasks notice their closed sockets and finish; await them
+        # Serve tasks notice their closed sockets and finish; let them
         # (including ones already mid-teardown after a client-initiated
-        # disconnect) so the loop shuts down without destroying pending
-        # tasks.
+        # disconnect) run to the end instead of cancelling them. A task
+        # cancelled inside its own teardown ends with CancelledError,
+        # which asyncio's stream callback logs as an unhandled error.
         tasks = [t for t in self._serve_tasks if not t.done()]
-        for task in tasks:
-            task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
@@ -277,6 +276,10 @@ class GISServer:
                     await conn.writer_task
                 except asyncio.CancelledError:
                     pass
+                # Nothing reads the queue any more: free a reader task
+                # blocked on a full queue so it sees ``closing`` and ends.
+                while not conn.outbound.empty():
+                    conn.outbound.get_nowait()
             try:
                 conn.writer.close()
                 await conn.writer.wait_closed()

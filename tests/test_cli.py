@@ -280,12 +280,14 @@ class TestColumnStatusCommand:
         text = text_of(output)
         assert "classes: 1" in text
         assert "builds: 1" in text
+        assert "patches: 0" in text
         assert "hits: 1" in text
         assert "phone_net.Pole v" in text
         output.clear()
         loop.run(["column-status json"])
         status = json.loads(text_of(output))
         assert status["summary"]["classes"] == 1
+        assert status["summary"]["patches"] == 0
         assert status["summary"]["hit_ratio"] == 0.5
         assert status["classes"][0]["class"] == "Pole"
 

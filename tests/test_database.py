@@ -1,5 +1,7 @@
 """Unit tests for the geographic database façade."""
 
+import threading
+
 import pytest
 
 from repro.active import EventKind
@@ -127,6 +129,65 @@ class TestPrimitives:
         obj = db.get_value(oid)
         assert obj.oid == oid
         assert db.bus.last_event.payload["class"] == "Station"
+
+
+class _WatchedLock:
+    """The commit lock, recording when another thread has to wait."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestGetClassAtomicity:
+    def test_get_class_never_sees_half_a_commit(self, db):
+        """A Get_Class issued while a two-insert commit is half applied
+        returns the extent before or after the commit, never between.
+
+        A probe pauses the commit after its first insert and runs the
+        read on another thread. The read either returns (then it must
+        not be torn) or waits on the commit lock; the probe waits for
+        one of the two, so no schedule depends on timing.
+        """
+        db.insert("s", "Station", {"code": "seed"})
+        before = len(db.extent("s", "Station"))
+        lock = db._commit_lock = _WatchedLock(db._commit_lock)
+        seen: list[int] = []
+        read_done = threading.Event()
+
+        def read():
+            seen.append(len(db.get_class("s", "Station")[1]))
+            read_done.set()
+
+        original = db._apply_insert
+        applied: list[str] = []
+
+        def probe(intent, undo):
+            original(intent, undo)
+            applied.append(intent.oid)
+            if len(applied) == 1:
+                reader.start()
+                for __ in range(1000):
+                    if read_done.wait(0.01) or lock.contended.is_set():
+                        break
+
+        db._apply_insert = probe
+        reader = threading.Thread(target=read)
+        with db.transaction() as txn:
+            txn.insert("s", "Station", {"code": "a"})
+            txn.insert("s", "Station", {"code": "b"})
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert seen and seen[0] in (before, before + 2)
 
 
 class TestStorageIntegration:

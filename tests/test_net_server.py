@@ -293,6 +293,41 @@ class TestSessionLifecycle:
         client.close()
 
 
+def test_stop_lets_disconnecting_connections_finish(kernel, monkeypatch,
+                                                    caplog):
+    """Stopping the server while connections are mid-disconnect logs no
+    asyncio errors and still releases every session.
+
+    Each dropped connection's serve task ends by running
+    ``close_sessions`` in the executor; the patched version holds there
+    briefly, so ``stop()`` always finds every task inside its teardown.
+    """
+    from repro.net.router import ClientState
+
+    clients = 4
+    entered = threading.Semaphore(0)
+    original = ClientState.close_sessions
+
+    def slow_close(state):
+        entered.release()
+        time.sleep(0.3)
+        return original(state)
+
+    monkeypatch.setattr(ClientState, "close_sessions", slow_close)
+    thread = ServerThread(kernel)
+    host, port = thread.start()
+    for __ in range(clients):
+        client = GISClient(host, port, timeout=15)
+        client.open_session(user="ana")
+        client.close()
+    for __ in range(clients):
+        assert entered.acquire(timeout=10)
+    with caplog.at_level("ERROR", logger="asyncio"):
+        thread.stop()
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+    assert kernel.session_count == 0
+
+
 def server_counter(server, name):
     # reach through the fixture tuple into the live server's counters
     host, port, kernel = server
